@@ -3,8 +3,9 @@
 // with branch/call/return events and probabilistic branch groups, applies
 // the value swaps PBS mandates, and streams a dynamic-instruction trace to
 // an optional consumer (the timing model) in batches — synchronously on
-// the emulating goroutine (TraceSink), or through a bounded ring of owned
-// batch buffers to a concurrent consumer (TraceRing, see internal/trace).
+// the emulating goroutine (TraceSink, the path sim.Session uses), or
+// through a bounded ring of owned batch buffers to a concurrent consumer
+// (TraceRing, see internal/trace).
 //
 // The dispatch loop runs over a predecoded execution plan (internal/plan):
 // immediates are sign-extended, LDC constants resolved, branch targets
@@ -243,9 +244,10 @@ func (c *CPU) SetTraceSink(s TraceSink) {
 }
 
 // SetTraceRing routes the trace through a ring of owned batch buffers to
-// an asynchronous consumer (the fast path sim.Session uses): the CPU
-// fills buffers the ring hands it and exchanges each full one for an
-// empty, so emulation overlaps trace consumption with zero copying.
+// an asynchronous consumer: the CPU fills buffers the ring hands it and
+// exchanges each full one for an empty, so emulation overlaps trace
+// consumption with zero copying. sim.Session does not use it — the
+// overlap costs more in hand-off than it hides (see DESIGN.md §2.4).
 // Clears any installed Listener or TraceSink after flushing to it. The
 // ring's consumer must be running whenever the CPU executes, or the
 // exchange backpressure would block forever.

@@ -164,7 +164,6 @@ func (m Metrics) IPC() float64 {
 	return float64(m.Instructions) / float64(m.Cycles)
 }
 
-// MPKI returns mispredictions per 1000 instructions.
 // CPI returns cycles per retired instruction (0 before any retire).
 func (m Metrics) CPI() float64 {
 	if m.Instructions == 0 {
@@ -173,6 +172,7 @@ func (m Metrics) CPI() float64 {
 	return float64(m.Cycles) / float64(m.Instructions)
 }
 
+// MPKI returns mispredictions per 1000 instructions.
 func (m Metrics) MPKI() float64 {
 	if m.Instructions == 0 {
 		return 0
@@ -342,9 +342,8 @@ type Pipeline struct {
 	// caches and predictor keep evolving (tag/history state only — no
 	// cycle accounting, no Metrics movement), so a later measurement
 	// window does not see state that went stale across a fast-forward
-	// gap. The flag is owned by the session and only flipped at a trace
-	// rendezvous (ring drained), so the consumer goroutine never observes
-	// a mid-batch change.
+	// gap. The flag is owned by the session and only flipped between
+	// trace batches, so no batch sees a mid-batch change.
 	funcWarm bool
 
 	// DebugBlock, when set, is invoked whenever a misprediction pushes
@@ -432,11 +431,8 @@ func (p *Pipeline) OnRetire(di emu.DynInstr) {
 }
 
 // SetFuncWarm flips the functional-warming consume path. Callers must
-// only flip it at a trace rendezvous (no batches in flight).
+// only flip it between trace batches (after the emulator flushed).
 func (p *Pipeline) SetFuncWarm(on bool) { p.funcWarm = on }
-
-// FuncWarm reports whether the functional-warming path is active.
-func (p *Pipeline) FuncWarm() bool { return p.funcWarm }
 
 // warmRetire is the functional-warming counterpart of retire: it feeds
 // the instruction's cache and predictor footprint through the models —

@@ -20,9 +20,9 @@
 //
 // The schedule is a pure function of the absolute retired-instruction
 // count, so a sampled run is deterministic: the same configuration
-// times exactly the same instruction windows regardless of chunking,
-// parallelism, or sync-vs-async trace delivery, and a checkpoint
-// resumed mid-run rejoins the schedule exactly where it left off.
+// times exactly the same instruction windows regardless of chunking or
+// parallelism, and a checkpoint resumed mid-run rejoins the schedule
+// exactly where it left off.
 // sim.Session drives the three phases (see sim.WithSampledTiming);
 // this package owns only the arithmetic and the estimate.
 package sample

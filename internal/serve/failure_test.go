@@ -242,3 +242,29 @@ func TestClientDisconnectDoesNotAbort(t *testing.T) {
 			len(seen), last.Done, last.Err, jr.Rows)
 	}
 }
+
+// TestOversizedBodyRejected: request bodies are bounded. A job request
+// larger than maxRequestBody is refused with 413 before it is decoded,
+// creates no job, and leaves the server serving normal requests.
+func TestOversizedBodyRejected(t *testing.T) {
+	srv := NewServer(NewMemStore())
+	_, base := startServer(t, srv)
+	body := `{"grid": {"workloads": ["` + strings.Repeat("A", maxRequestBody) + `"]}}`
+	resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized job request: status %d, want %d", resp.StatusCode, http.StatusRequestEntityTooLarge)
+	}
+
+	c := &Client{Server: base}
+	jr, err := c.Submit(context.Background(), sweep.Grid{Workloads: []string{"PI"}, MaxInstrs: 10_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jr.ID != "j1" {
+		t.Errorf("first accepted job is %q, want j1: the oversized request must not create a job", jr.ID)
+	}
+}

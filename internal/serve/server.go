@@ -241,14 +241,40 @@ func buildJob(g sweep.Grid) (*job, error) {
 	return j, nil
 }
 
+// maxRequestBody bounds every JSON request body the server reads. The
+// largest legitimate body is a renew or release carrying a progress
+// checkpoint: about 744 KB of JSON, a 559 KB checkpoint in base64. Its
+// size is set by the predictor tables, not by the workload, scale or
+// core width (measured over every workload, both predictors, scale 1
+// and 32, 8-wide). Grids, leases, results and functional warm-prefix
+// checkpoints are a few KB at most. 4 MiB leaves room for larger
+// predictor configurations and long sampled runs' window populations.
+const maxRequestBody = 4 << 20
+
+// decodeRequest decodes a JSON request body of at most maxRequestBody
+// bytes into v. On failure it answers the request itself — 413 for an
+// oversized body, 400 for a malformed one — and returns false.
+func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		http.Error(w, fmt.Sprintf("serve: request body exceeds %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
+	} else {
+		http.Error(w, fmt.Sprintf("serve: bad request: %v", err), http.StatusBadRequest)
+	}
+	return false
+}
+
 // handleSubmit expands a grid into a job. Store hits resolve
 // immediately (their rows stream before the response returns); misses
 // attach to singleflight runs, enqueueing new ones. With a journal
 // attached, the submission is durable before it is acknowledged.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("serve: bad job request: %v", err), http.StatusBadRequest)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	if req.Grid.CaptureProb {
@@ -611,8 +637,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	now := s.now()
@@ -659,8 +684,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
 	var req RenewRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	now := s.now()
@@ -697,8 +721,7 @@ func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
 // worker continues instead of restarting.
 func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 	var req ReleaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	now := s.now()
@@ -731,8 +754,7 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req CompleteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	if req.Error == "" && req.Result == nil {
@@ -800,8 +822,7 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 	var req WarmRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	addr := Addr("warm", req.Point.Canonical())
@@ -833,8 +854,7 @@ func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleWarmComplete(w http.ResponseWriter, r *http.Request) {
 	var req WarmCompleteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	addr := Addr("warm", req.Point.Canonical())

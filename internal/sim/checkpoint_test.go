@@ -18,11 +18,18 @@ const restoreK = 50_000
 // completion.
 func runInterrupted(t *testing.T, cfg Config, k uint64) *Result {
 	t.Helper()
+	return runInterruptedVia(t, cfg, k, func(_ *Session, fn func() error) error { return fn() })
+}
+
+// runInterruptedVia is runInterrupted with both run legs driven through
+// via (see ringDelivered); the checkpoint is taken between them.
+func runInterruptedVia(t *testing.T, cfg Config, k uint64, via func(*Session, func() error) error) *Result {
+	t.Helper()
 	s, err := newSession(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.RunFor(k); err != nil {
+	if err := via(s, func() error { _, err := s.RunFor(k); return err }); err != nil {
 		t.Fatal(err)
 	}
 	ck, err := s.Checkpoint()
@@ -42,7 +49,7 @@ func runInterrupted(t *testing.T, cfg Config, k uint64) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := restored.Run(); err != nil {
+	if err := via(restored, restored.Run); err != nil {
 		t.Fatal(err)
 	}
 	return restored.Result()
@@ -70,24 +77,28 @@ func compareResults(t *testing.T, got, want *Result) {
 	}
 }
 
-// TestCheckpointRestoreGolden: for every golden configuration, on both
-// the synchronous and the forced-async timing path, interrupting a run
-// with checkpoint→serialize→restore must not move a single counter
-// relative to the uninterrupted run.
+// TestCheckpointRestoreGolden: for every golden configuration, with
+// the trace delivered synchronously and through a trace.Ring to a
+// consumer goroutine, interrupting a run with
+// checkpoint→serialize→restore must not move a single counter relative
+// to the uninterrupted run.
 func TestCheckpointRestoreGolden(t *testing.T) {
+	ring := func(s *Session, fn func() error) error { return ringDelivered(s, 2, fn) }
 	for name, cfg := range goldenConfigs() {
 		for _, mode := range []string{"", "/async"} {
 			name, cfg, mode := name, cfg, mode
 			t.Run(name+mode, func(t *testing.T) {
 				t.Parallel()
-				if mode == "/async" {
-					cfg.TraceRing = 2
-				}
 				want, err := Run(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := runInterrupted(t, cfg, restoreK)
+				var got *Result
+				if mode == "/async" {
+					got = runInterruptedVia(t, cfg, restoreK, ring)
+				} else {
+					got = runInterrupted(t, cfg, restoreK)
+				}
 				compareResults(t, got, want)
 			})
 		}

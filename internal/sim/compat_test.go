@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/pipeline"
+	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -77,7 +78,8 @@ func hashF64(vs []float64) uint64 {
 // TestRunMatchesGolden asserts that the compatibility wrapper sim.Run
 // reproduces the pre-refactor harness byte-identically across workloads,
 // predictors, PBS on/off, core widths, variants, instruction caps,
-// skip-timing and value-capture modes.
+// skip-timing and value-capture modes. Each config's /async arm feeds
+// the same machine's trace through a trace.Ring instead (runRing).
 func TestRunMatchesGolden(t *testing.T) {
 	data, err := os.ReadFile("testdata/golden.json")
 	if err != nil {
@@ -104,15 +106,15 @@ func TestRunMatchesGolden(t *testing.T) {
 				if !ok {
 					t.Fatalf("no config for golden entry %q", e.Name)
 				}
+				run := Run
 				if mode == "/async" {
-					// Force the asynchronous trace pipeline (the default on
-					// multi-CPU processes) even where the session would fall
-					// back to synchronous delivery, with enough backpressure
-					// to exercise the ring hand-off; the golden counters
-					// must not move by a bit.
-					cfg.TraceRing = 2
+					// The emulator hands its trace through a trace.Ring to a
+					// consumer goroutine instead of the session's sink, with
+					// enough backpressure to exercise the hand-off; the
+					// golden counters must not move by a bit.
+					run = runRing
 				}
-				res, err := Run(cfg)
+				res, err := run(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -160,4 +162,43 @@ func TestRunMatchesGolden(t *testing.T) {
 			})
 		}
 	}
+}
+
+// ringDelivered runs fn with s's trace handed through a trace.Ring of
+// the given depth to a consumer goroutine (emu.CPU.SetTraceRing plus
+// Ring.Serve) instead of the session's synchronous sink, then joins the
+// consumer and reinstalls the sink. Sessions never deliver this way; the
+// ring remains the asynchronous path the per-layer benchmark times
+// against them, and it must retire the same timing. fn must not read
+// timing state: the consumer owns the pipeline until fn returns.
+func ringDelivered(s *Session, batches int, fn func() error) error {
+	if s.pipe == nil {
+		return fn()
+	}
+	ring := trace.New(batches)
+	done := make(chan struct{})
+	go func() {
+		ring.Serve(s.pipe)
+		close(done)
+	}()
+	s.cpu.SetTraceRing(ring)
+	err := fn()
+	// Switch back while the consumer is live (the switch flushes to the
+	// ring), then stop it: every delivered batch is consumed on return.
+	s.cpu.SetTraceSink(s.pipe)
+	ring.Stop()
+	<-done
+	return err
+}
+
+// runRing is Run with the whole trace delivered through a 2-deep ring.
+func runRing(cfg Config) (*Result, error) {
+	s, err := newSession(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := ringDelivered(s, 2, s.Run); err != nil {
+		return nil, err
+	}
+	return s.Result(), nil
 }

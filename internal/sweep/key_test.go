@@ -1,7 +1,11 @@
 package sweep
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -141,5 +145,48 @@ func TestGridJSONRoundTrip(t *testing.T) {
 		if a[i] != b[i] {
 			t.Errorf("point %d differs after round trip: %+v vs %+v", i, a[i], b[i])
 		}
+	}
+}
+
+// TestGridSyncTimingIgnored: "sync_timing" is a retired knob (every
+// session now consumes its trace synchronously). Specs and journaled
+// grids that still set it must decode under DisallowUnknownFields, as
+// cmd/pbsweep decodes specs, and sweep exactly the points, with exactly
+// the results, of the same spec without it.
+func TestGridSyncTimingIgnored(t *testing.T) {
+	const spec = `{"workloads": ["PI"], "predictors": ["tournament"], "pbs": [false, true], "seeds": [11], "max_instrs": 100000%s}`
+	run := func(extra string) ([]string, string) {
+		t.Helper()
+		dec := json.NewDecoder(strings.NewReader(fmt.Sprintf(spec, extra)))
+		dec.DisallowUnknownFields()
+		var g Grid
+		if err := dec.Decode(&g); err != nil {
+			t.Fatal(err)
+		}
+		pts, err := g.Points()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var addrs []string
+		for _, p := range pts {
+			addrs = append(addrs, p.Canonical())
+		}
+		rs, err := NewEngine().Run(context.Background(), g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		if err := rs.WriteJSON(&out); err != nil {
+			t.Fatal(err)
+		}
+		return addrs, out.String()
+	}
+	plainAddrs, plainOut := run("")
+	syncAddrs, syncOut := run(`, "sync_timing": true`)
+	if !reflect.DeepEqual(syncAddrs, plainAddrs) {
+		t.Errorf("point addresses differ:\n%q\n%q", syncAddrs, plainAddrs)
+	}
+	if syncOut != plainOut {
+		t.Errorf("results differ with sync_timing set:\n%s\nwithout:\n%s", syncOut, plainOut)
 	}
 }

@@ -2,9 +2,13 @@
 // a Ring is a small, bounded hand-off of owned trace batches between one
 // producer goroutine (the emulator, via emu.CPU.SetTraceRing) and one
 // consumer goroutine (the timing model, via Serve). The emulator fills a
-// batch while the consumer drains earlier ones, so the ~6×-faster
-// functional emulation hides behind the timing model's cost instead of
-// serializing with it.
+// batch while the consumer drains earlier ones, so functional emulation
+// can overlap the timing model's cost.
+//
+// sim.Session does not use the ring: the emulator is about a sixth of a
+// timed run, so overlap can hide at most that much, and the cross-core
+// hand-off costs more than it hides (DESIGN.md §2.4). The package stays
+// for the per-layer benchmark ledger, which times the hand-off.
 //
 // Ownership protocol: the ring pre-allocates every batch buffer it will
 // ever use. Exactly one buffer is held by the producer (being filled) at
@@ -15,11 +19,11 @@
 // allocated after New, so the steady state is allocation-free on both
 // sides.
 //
-// Rendezvous: Drain is the deterministic barrier the simulation harness
-// uses at observer boundaries and instruction limits — it returns only
-// after the consumer has processed every batch delivered before the
-// call, at which point timing-model state is safe to read from the
-// producer side (the channel acknowledgement establishes the
+// Rendezvous: Drain is the deterministic barrier a producer uses before
+// it reads timing-model state (say, at an instruction limit) — it
+// returns only after the consumer has processed every batch delivered
+// before the call, at which point timing-model state is safe to read
+// from the producer side (the channel acknowledgement establishes the
 // happens-before edge). Stop is Drain plus consumer shutdown; Serve can
 // then be restarted for the next run segment.
 package trace
