@@ -133,9 +133,9 @@ func archBytes(t *testing.T, c *CPU) []byte {
 }
 
 // runDifferential executes prog twice from identical initial state —
-// once through the fused Run path with a batching sink, once through
-// the per-instruction Step loop forced by a listener — splitting the
-// run at the given budgets, and fails the test on any observable
+// once through the fused Run path, once through the per-instruction
+// Step loop (stepRun), each with a recording sink — splitting the run at
+// the given budgets, and fails the test on any observable
 // divergence: architectural state, stats, trace stream, or fault.
 func runDifferential(t *testing.T, prog *isa.Program, seed uint64, budgets []uint64) {
 	t.Helper()
@@ -151,18 +151,15 @@ func runDifferential(t *testing.T, prog *isa.Program, seed uint64, budgets []uin
 	if err != nil {
 		t.Fatalf("new ref: %v", err)
 	}
-	var refTrace []DynInstr
-	ref.SetListener(func(di DynInstr) { refTrace = append(refTrace, di) })
+	refSink := &recordingSink{}
+	ref.SetTraceSink(refSink)
 
-	run := func(c *CPU, budget uint64) error {
-		return c.Run(budget)
-	}
 	// Run's budget is an absolute retired-instruction total, so sort the
 	// split points ascending to make each one an effective stop.
 	sort.Slice(budgets, func(i, j int) bool { return budgets[i] < budgets[j] })
 	for _, budget := range append(budgets, 0) {
-		errF := run(fused, budget)
-		errR := run(ref, budget)
+		errF := fused.Run(budget)
+		errR := stepRun(ref, budget)
 		if (errF == nil) != (errR == nil) {
 			t.Fatalf("fault divergence at budget %d: fused=%v ref=%v", budget, errF, errR)
 		}
@@ -187,6 +184,7 @@ func runDifferential(t *testing.T, prog *isa.Program, seed uint64, budgets []uin
 		}
 	}
 
+	refTrace := refSink.trace
 	if len(sink.trace) != len(refTrace) {
 		t.Fatalf("trace length divergence: fused=%d ref=%d", len(sink.trace), len(refTrace))
 	}
@@ -272,8 +270,7 @@ func TestRunBudgetBlockBoundary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref.SetListener(func(DynInstr) {})
-		if err := ref.Run(budget); err != nil {
+		if err := stepRun(ref, budget); err != nil {
 			t.Fatal(err)
 		}
 		if cpu.PC() != ref.PC() {
@@ -312,8 +309,7 @@ func TestMidBlockCheckpointState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref.SetListener(func(DynInstr) {})
-	if err := ref.Run(cut); err != nil {
+	if err := stepRun(ref, cut); err != nil {
 		t.Fatal(err)
 	}
 	mid := archBytes(t, fused)

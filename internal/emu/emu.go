@@ -2,10 +2,12 @@
 // programs instruction by instruction, drives the PBS unit (internal/core)
 // with branch/call/return events and probabilistic branch groups, applies
 // the value swaps PBS mandates, and streams a dynamic-instruction trace to
-// an optional consumer (the timing model) in batches — synchronously on
-// the emulating goroutine (TraceSink, the path sim.Session uses), or
-// through a bounded ring of owned batch buffers to a concurrent consumer
-// (TraceRing, see internal/trace).
+// an optional consumer (the timing model) in batches. TraceSink is the
+// one in-process contract: the sink runs synchronously on the emulating
+// goroutine, and a caller changes what consumes the trace — or stops
+// tracing — by installing another sink. TraceRing hands the same batches
+// through a bounded ring of owned buffers to a concurrent consumer (see
+// internal/trace); no simulation session uses it.
 //
 // The dispatch loop runs over a predecoded execution plan (internal/plan):
 // immediates are sign-extended, LDC constants resolved, branch targets
@@ -69,10 +71,6 @@ type DynInstr struct {
 	Prob ProbState
 }
 
-// Listener receives every retired instruction in program order,
-// synchronously from Step. For the batched fast path see TraceSink.
-type Listener func(DynInstr)
-
 // TraceSink receives the retired-instruction trace in program order as
 // batches. Batch buffers are reused, never copied: with a sink installed
 // directly (SetTraceSink) the batch is valid only for the duration of
@@ -82,7 +80,8 @@ type Listener func(DynInstr)
 // returns. Either way, a sink that needs the data beyond its own return
 // must copy it. Batches are delivered when the current buffer fills,
 // when CPU.Run returns for any reason (halt, instruction budget, fault),
-// and on FlushTrace.
+// on FlushTrace, and when SetTraceSink or SetTraceRing replaces the
+// destination, so no batch mixes two consumers' instructions.
 type TraceSink interface {
 	ConsumeTrace(batch []DynInstr)
 }
@@ -162,21 +161,14 @@ type CPU struct {
 	out    []uint64
 	stats  Stats
 
-	listener Listener
-	sink     TraceSink
-	ring     TraceRing
+	sink TraceSink
+	ring TraceRing
 	// buf is the current batch buffer (ring-owned when ring != nil, the
 	// inline bufArr when a sink consumes synchronously); non-nil exactly
 	// when a sink or ring is installed, so it doubles as the Step hot
 	// path's single "tracing?" predicate.
 	buf    []DynInstr
 	bufArr [TraceBatch]DynInstr
-	// pausedBuf stashes buf while trace delivery is paused (see
-	// PauseTrace): the installed sink/ring stays wired, but buf goes nil
-	// so Run takes the untraced fused fast path. With a ring, the stash
-	// keeps ownership of the ring buffer the CPU held.
-	pausedBuf []DynInstr
-	paused    bool
 
 	group probGroup
 
@@ -213,28 +205,16 @@ func New(prog *isa.Program, r *rng.Stream, pbs *core.Unit) (*CPU, error) {
 	return c, nil
 }
 
-// SetListener installs a per-instruction trace listener, called
-// synchronously from every Step. Clears any installed TraceSink or
-// TraceRing, flushing instructions buffered for it first so no trace
-// entry is lost across the switch.
-func (c *CPU) SetListener(l Listener) {
-	c.FlushTrace()
-	c.clearPause()
-	c.listener = l
-	c.sink = nil
-	c.ring = nil
-	c.buf = nil
-}
-
 // SetTraceSink installs the batched trace consumer, called synchronously
-// from the emulating goroutine whenever a batch fills. Clears any
-// installed Listener or TraceRing; entries buffered for a previous trace
-// destination are flushed to it first.
+// from the emulating goroutine whenever a batch fills; nil stops tracing,
+// and Run then takes the untraced fused path. Entries buffered for the
+// previous destination (sink or TraceRing) are flushed to it first, so a
+// caller switches consumers — e.g. the phases of sampled timing: detailed
+// model, functional warmer, none for fast-forward — by swapping sinks
+// between Runs, and no entry reaches the wrong one.
 func (c *CPU) SetTraceSink(s TraceSink) {
 	c.FlushTrace()
-	c.clearPause()
 	c.sink = s
-	c.listener = nil
 	c.ring = nil
 	if s == nil {
 		c.buf = nil
@@ -248,15 +228,15 @@ func (c *CPU) SetTraceSink(s TraceSink) {
 // exchanges each full one for an empty, so emulation overlaps trace
 // consumption with zero copying. sim.Session does not use it — the
 // overlap costs more in hand-off than it hides (see DESIGN.md §2.4).
-// Clears any installed Listener or TraceSink after flushing to it. The
-// ring's consumer must be running whenever the CPU executes, or the
-// exchange backpressure would block forever.
+// Replaces any installed TraceSink after flushing to it. The ring's
+// consumer must be running whenever the CPU executes, or the exchange
+// backpressure would block forever. Switching away from a ring flushes
+// into the ring's queue, not to the new destination: drain the ring's
+// consumer before a later sink's state must reflect earlier batches.
 func (c *CPU) SetTraceRing(r TraceRing) {
 	c.FlushTrace()
-	c.clearPause()
 	c.ring = r
 	c.sink = nil
-	c.listener = nil
 	if r != nil {
 		c.buf = r.Exchange(nil)[:0]
 	} else {
@@ -282,48 +262,6 @@ func (c *CPU) FlushTrace() {
 	default:
 		c.buf = c.buf[:0]
 	}
-}
-
-// PauseTrace suspends trace delivery without tearing the installed sink
-// or ring down: buffered entries are flushed to it first, then the batch
-// buffer is stashed and the tracing predicate (buf != nil) goes false,
-// so Run executes on the untraced fused fast path — zero per-instruction
-// trace cost. This is the fast-forward mechanism of sampled timing (see
-// internal/sample): the machine's functional execution is exactly the
-// traced run's, only delivery stops. With a ring installed, the flush
-// requires the ring's consumer to be live, like any trace delivery; the
-// stashed buffer keeps its ring ownership while paused, so consumer
-// goroutines may stop and restart around a paused stretch. A no-op when
-// already paused or when no trace destination is installed.
-func (c *CPU) PauseTrace() {
-	if c.paused || c.buf == nil {
-		return
-	}
-	c.FlushTrace()
-	c.pausedBuf = c.buf[:0]
-	c.buf = nil
-	c.paused = true
-}
-
-// ResumeTrace re-enables delivery after PauseTrace; instructions retired
-// from here on reach the sink or ring again. A no-op when not paused.
-func (c *CPU) ResumeTrace() {
-	if !c.paused {
-		return
-	}
-	c.buf = c.pausedBuf
-	c.pausedBuf = nil
-	c.paused = false
-}
-
-// TracePaused reports whether trace delivery is paused.
-func (c *CPU) TracePaused() bool { return c.paused }
-
-// clearPause drops pause state when a setter installs a new trace
-// destination: the stashed buffer belonged to the old destination.
-func (c *CPU) clearPause() {
-	c.pausedBuf = nil
-	c.paused = false
 }
 
 // Halted reports whether the program has executed HALT.
@@ -420,25 +358,9 @@ func bits(f float64) uint64   { return math.Float64bits(f) }
 // and the trace batch committed in bulk. Budget limits and trace-buffer
 // room truncate a dispatch to fewer instructions, so Run still stops on
 // exact instruction boundaries: chunked execution, observers,
-// checkpoints and faults see precisely the per-Step machine states. A
-// per-instruction Listener degrades to the Step loop, which is also the
-// reference the fused path is fuzzed against.
+// checkpoints and faults see precisely the per-Step machine states. Step
+// is the reference the fused path is tested and fuzzed against.
 func (c *CPU) Run(maxInstrs uint64) error {
-	if c.listener != nil {
-		// Per-instruction callbacks observe the machine between every two
-		// instructions; fusion would batch their view, so don't fuse.
-		for !c.halted {
-			if maxInstrs > 0 && c.stats.Instructions >= maxInstrs {
-				break
-			}
-			if err := c.Step(); err != nil {
-				c.FlushTrace()
-				return err
-			}
-		}
-		c.FlushTrace()
-		return nil
-	}
 	err := c.runFused(maxInstrs)
 	c.FlushTrace()
 	return err
@@ -703,8 +625,6 @@ func (c *CPU) Step() error {
 		if len(c.buf) == cap(c.buf) {
 			c.FlushTrace()
 		}
-	} else if c.listener != nil {
-		c.listener(di)
 	}
 	return nil
 }

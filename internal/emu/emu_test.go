@@ -340,7 +340,9 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
-func TestListenerSeesAllInstructions(t *testing.T) {
+// TestStepTraceSeesAllInstructions: the reference Step loop delivers
+// every retired instruction, branches included, to the trace sink.
+func TestStepTraceSeesAllInstructions(t *testing.T) {
 	b := progb.New("t", false)
 	probCounter(100)(b)
 	prog, err := b.Finish()
@@ -351,22 +353,22 @@ func TestListenerSeesAllInstructions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var count uint64
+	sink := &recordingSink{}
+	cpu.SetTraceSink(sink)
+	if err := stepRun(cpu, 0); err != nil {
+		t.Fatal(err)
+	}
 	var branches uint64
-	cpu.SetListener(func(di DynInstr) {
-		count++
+	for _, di := range sink.trace {
 		if prog.Code[di.PC].Op.IsBranch() {
 			branches++
 		}
-	})
-	if err := cpu.Run(0); err != nil {
-		t.Fatal(err)
 	}
-	if count != cpu.Stats().Instructions {
-		t.Errorf("listener saw %d of %d instructions", count, cpu.Stats().Instructions)
+	if got := uint64(len(sink.trace)); got != cpu.Stats().Instructions {
+		t.Errorf("sink saw %d of %d instructions", got, cpu.Stats().Instructions)
 	}
 	if branches == 0 {
-		t.Error("listener saw no branches")
+		t.Error("sink saw no branches")
 	}
 }
 

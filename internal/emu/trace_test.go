@@ -76,11 +76,29 @@ func (s *recordingSink) ConsumeTrace(batch []DynInstr) {
 	}
 }
 
-// TestTraceSinkMatchesListener proves batched delivery is a pure batching
-// of the per-instruction listener stream: same instructions, same order,
-// same fields, across chunked RunFor-style execution with flushes on
-// every Run return.
-func TestTraceSinkMatchesListener(t *testing.T) {
+// stepRun is the reference execution loop: Run's contract — stop at
+// HALT, a fault, or maxInstrs retired instructions (0 = no limit), and
+// flush the trace before returning — driven one Step at a time, with
+// none of the fused path's superblock dispatch.
+func stepRun(c *CPU, maxInstrs uint64) error {
+	for !c.halted {
+		if maxInstrs > 0 && c.stats.Instructions >= maxInstrs {
+			break
+		}
+		if err := c.Step(); err != nil {
+			c.FlushTrace()
+			return err
+		}
+	}
+	c.FlushTrace()
+	return nil
+}
+
+// TestTraceSinkMatchesStep proves batched delivery from the fused Run
+// path is exactly the reference Step loop's trace: same instructions,
+// same order, same fields, across chunked RunFor-style execution with
+// flushes on every Run return.
+func TestTraceSinkMatchesStep(t *testing.T) {
 	w, err := workloads.ByName("PI")
 	if err != nil {
 		t.Fatal(err)
@@ -94,11 +112,12 @@ func TestTraceSinkMatchesListener(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want []DynInstr
-	ref.SetListener(func(di DynInstr) { want = append(want, di) })
-	if err := ref.Run(300_000); err != nil {
+	refSink := &recordingSink{}
+	ref.SetTraceSink(refSink)
+	if err := stepRun(ref, 300_000); err != nil {
 		t.Fatal(err)
 	}
+	want := refSink.trace
 
 	cpu, err := New(prog, rng.New(3), nil)
 	if err != nil {
@@ -118,7 +137,7 @@ func TestTraceSinkMatchesListener(t *testing.T) {
 	}
 
 	if len(sink.trace) != len(want) {
-		t.Fatalf("sink saw %d instructions, listener %d", len(sink.trace), len(want))
+		t.Fatalf("sink saw %d instructions, Step loop %d", len(sink.trace), len(want))
 	}
 	for i := range want {
 		if sink.trace[i] != want[i] {

@@ -185,6 +185,11 @@ type Instr struct {
 	Imm int32
 }
 
+// MaxMemSize bounds Program.MemSize. The emulator allocates the whole
+// data memory up front, so a program from untrusted text must not be
+// able to ask for more.
+const MaxMemSize = 1 << 30
+
 // Program is a complete executable: code, constant pool, and the initial
 // data-memory image.
 type Program struct {
@@ -192,7 +197,7 @@ type Program struct {
 	Code []Instr
 	// Consts is the 64-bit constant pool referenced by LDC.
 	Consts []uint64
-	// MemSize is the data memory size in bytes.
+	// MemSize is the data memory size in bytes, at most MaxMemSize.
 	MemSize int64
 	// DataInit holds initial 64-bit data-memory words keyed by byte address.
 	DataInit map[int64]uint64

@@ -280,6 +280,18 @@ func TestProgramValidate(t *testing.T) {
 		t.Error("data init outside memory accepted")
 	}
 
+	bad = validProgram()
+	bad.DataInit = map[int64]uint64{math.MaxInt64 - 3: 1} // addr+8 wraps negative
+	if err := bad.Validate(); err == nil {
+		t.Error("data init at a wrapping address accepted")
+	}
+
+	bad = validProgram()
+	bad.MemSize = MaxMemSize + 1
+	if err := bad.Validate(); err == nil {
+		t.Error("memory size above MaxMemSize accepted")
+	}
+
 	empty := &Program{Name: "empty"}
 	if err := empty.Validate(); err == nil {
 		t.Error("empty program accepted")

@@ -39,9 +39,10 @@ func (i Instr) Validate(pc, codeLen, nConsts int) error {
 }
 
 // Validate checks the whole program: every instruction well formed, every
-// branch target in range, the data image inside MemSize, and every
-// probabilistic branch group well formed (a PROBCMP followed by one or more
-// PROBJMPs of which exactly the last carries a target).
+// branch target in range, MemSize within MaxMemSize, the data image inside
+// MemSize, and every probabilistic branch group well formed (a PROBCMP
+// followed by one or more PROBJMPs of which exactly the last carries a
+// target).
 func (p *Program) Validate() error {
 	if len(p.Code) == 0 {
 		return fmt.Errorf("program %q: empty code", p.Name)
@@ -51,8 +52,13 @@ func (p *Program) Validate() error {
 			return fmt.Errorf("program %q: %w", p.Name, err)
 		}
 	}
+	if p.MemSize < 0 || p.MemSize > MaxMemSize {
+		return fmt.Errorf("program %q: memory size %d outside [0, %d]", p.Name, p.MemSize, MaxMemSize)
+	}
 	for addr := range p.DataInit {
-		if addr < 0 || addr+8 > p.MemSize {
+		// addr > MemSize-8 rather than addr+8 > MemSize: the sum wraps
+		// negative for addresses near MaxInt64.
+		if addr < 0 || addr > p.MemSize-8 {
 			return fmt.Errorf("program %q: data init word at %d outside memory size %d", p.Name, addr, p.MemSize)
 		}
 	}

@@ -10,28 +10,34 @@ import (
 	"repro/internal/workloads"
 )
 
+// traceRecorder is a trace sink that copies every batch out of the
+// emulator's reused buffer.
+type traceRecorder struct{ trace []emu.DynInstr }
+
+func (r *traceRecorder) ConsumeTrace(batch []emu.DynInstr) { r.trace = append(r.trace, batch...) }
+
 // recordTrace runs the PI workload functionally and captures its retired
 // instruction trace for replay through the timing model.
-func recordTrace(b *testing.B, maxInstrs uint64) (*isa.Program, []emu.DynInstr) {
-	b.Helper()
+func recordTrace(tb testing.TB, maxInstrs uint64) (*isa.Program, []emu.DynInstr) {
+	tb.Helper()
 	w, err := workloads.ByName("PI")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	prog, err := w.Build(workloads.DefaultParams(), true)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	cpu, err := emu.New(prog, rng.New(1), nil)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	var trace []emu.DynInstr
-	cpu.SetListener(func(di emu.DynInstr) { trace = append(trace, di) })
+	rec := &traceRecorder{}
+	cpu.SetTraceSink(rec)
 	if err := cpu.Run(maxInstrs); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	return prog, trace
+	return prog, rec.trace
 }
 
 // BenchmarkRetireBatch measures the steady-state retire path in
@@ -61,23 +67,7 @@ func BenchmarkRetireBatch(b *testing.B) {
 // TestRetireBatchAllocationFree pins the zero-allocation property of the
 // steady-state retire path under plain `go test`.
 func TestRetireBatchAllocationFree(t *testing.T) {
-	w, err := workloads.ByName("PI")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := w.Build(workloads.DefaultParams(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cpu, err := emu.New(prog, rng.New(1), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var trace []emu.DynInstr
-	cpu.SetListener(func(di emu.DynInstr) { trace = append(trace, di) })
-	if err := cpu.Run(200_000); err != nil {
-		t.Fatal(err)
-	}
+	prog, trace := recordTrace(t, 200_000)
 	pipe, err := New(FourWide(), prog, branch.NewTAGESCL())
 	if err != nil {
 		t.Fatal(err)

@@ -1,11 +1,11 @@
 // Package pipeline is the trace-driven out-of-order timing model of the
 // reproduction. It consumes the retired-instruction stream of the
-// functional emulator — batch-wise through emu.TraceSink, or one
-// instruction at a time through OnRetire — and computes cycle timing for
-// an aggressive superscalar core: fetch bandwidth with one taken branch
-// per cycle, front-end depth, ROB occupancy, register dataflow,
-// functional unit pools, a two-level cache hierarchy, and the 10-cycle
-// front-end refill penalty on branch mispredictions (§VI-B).
+// functional emulator as an emu.TraceSink — the Pipeline itself for
+// detailed timing, its Warmer for functional warming — and computes
+// cycle timing for an aggressive superscalar core: fetch bandwidth with
+// one taken branch per cycle, front-end depth, ROB occupancy, register
+// dataflow, functional unit pools, a two-level cache hierarchy, and the
+// 10-cycle front-end refill penalty on branch mispredictions (§VI-B).
 //
 // All static per-instruction properties — functional unit class, latency,
 // occupancy, source/destination register sets, branch kind — come from
@@ -62,7 +62,7 @@ type Config struct {
 	// executes, however deep its operand chain. The second model makes
 	// eliminating probabilistic branches — whose operands sit at the end
 	// of long random-value chains — even more valuable; it is reported as
-	// an ablation in EXPERIMENTS.md.
+	// an ablation (BenchmarkResolutionPenalty in the root bench_test.go).
 	ResolutionPenalty bool
 }
 
@@ -108,6 +108,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("pipeline: all functional unit counts must be >= 1")
 	case c.MispredictPenalty < 0 || c.FrontendDepth < 0:
 		return fmt.Errorf("pipeline: negative pipeline depths")
+	case c.L1I.HitLatency >= c.L2.HitLatency || c.L1D.HitLatency >= c.L2.HitLatency || c.L2.HitLatency >= c.MemLatency:
+		// retire identifies the level that served an access by its
+		// latency, so the levels must be strictly slower outward.
+		return fmt.Errorf("pipeline: latencies must increase strictly from L1 (I %d, D %d) to L2 (%d) to memory (%d)",
+			c.L1I.HitLatency, c.L1D.HitLatency, c.L2.HitLatency, c.MemLatency)
 	}
 	return nil
 }
@@ -271,8 +276,7 @@ func (s *fuSched) schedule(class plan.FUClass, ready, occ uint64) uint64 {
 }
 
 // Pipeline is the timing model for one run. It consumes the emulator's
-// trace batch-wise (ConsumeTrace, the emu.TraceSink contract) or per
-// instruction (OnRetire, the legacy Listener contract).
+// trace batch-wise through ConsumeTrace, the emu.TraceSink contract.
 type Pipeline struct {
 	cfg  Config
 	prog *isa.Program
@@ -309,13 +313,6 @@ type Pipeline struct {
 	l1dHitLat int
 	l2HitLat  int
 
-	// latTiered: the hierarchy's latencies are strictly increasing
-	// (L1 hit < L2 hit < memory), so a returned latency identifies the
-	// level that served the access and the per-level miss counters can
-	// be derived from it instead of sampled around every access. Any
-	// degenerate configuration falls back to counter deltas.
-	latTiered bool
-
 	// L1I fetch-streak state: consecutive fetches from the line of the
 	// previous fetch bypass the cache model (see retire). iblockShift
 	// maps an instruction index to its line number; lastIBlock starts at
@@ -337,21 +334,6 @@ type Pipeline struct {
 	// with the counters, never the timing itself.
 	winBase Metrics
 	warming bool
-
-	// funcWarm switches ConsumeTrace to the functional-warming path:
-	// caches and predictor keep evolving (tag/history state only — no
-	// cycle accounting, no Metrics movement), so a later measurement
-	// window does not see state that went stale across a fast-forward
-	// gap. The flag is owned by the session and only flipped between
-	// trace batches, so no batch sees a mid-batch change.
-	funcWarm bool
-
-	// DebugBlock, when set, is invoked whenever a misprediction pushes
-	// fetchBlockedUntil forward (diagnostics only).
-	DebugBlock func(pc int32, op isa.Op, execDone, until uint64)
-	// DebugInstr, when set, is invoked per instruction with its timing
-	// (diagnostics only).
-	DebugInstr func(pc int32, op isa.Op, fc, issue, execDone uint64)
 }
 
 // New builds a pipeline bound to a program, predictor and fresh caches.
@@ -385,9 +367,6 @@ func New(cfg Config, prog *isa.Program, pred branch.Predictor) (*Pipeline, error
 		l2HitLat:   cfg.L2.HitLatency,
 		lastIBlock: ^uint64(0),
 	}
-	p.latTiered = cfg.L1I.HitLatency < cfg.L2.HitLatency &&
-		cfg.L1D.HitLatency < cfg.L2.HitLatency &&
-		cfg.L2.HitLatency < cfg.MemLatency
 	// Instructions are 8 bytes, so PC>>(log2(LineBytes)-3) is the fetch
 	// line number (line sizes below 8 bytes degrade to per-PC streaks,
 	// which are still sound: the same PC fetches the same line).
@@ -409,30 +388,28 @@ func New(cfg Config, prog *isa.Program, pred branch.Predictor) (*Pipeline, error
 // instructions in program order. Pass the pipeline to
 // emu.CPU.SetTraceSink.
 func (p *Pipeline) ConsumeTrace(batch []emu.DynInstr) {
-	if p.funcWarm {
-		for i := range batch {
-			p.warmRetire(&batch[i])
-		}
-		return
-	}
 	for i := range batch {
 		p.retire(&batch[i])
 	}
 }
 
-// OnRetire consumes one retired instruction (the legacy per-instruction
-// path; pass it to emu.CPU.SetListener).
-func (p *Pipeline) OnRetire(di emu.DynInstr) {
-	if p.funcWarm {
-		p.warmRetire(&di)
-		return
-	}
-	p.retire(&di)
-}
+// warmer is the pipeline's functional-warming trace sink (see Warmer).
+type warmer Pipeline
 
-// SetFuncWarm flips the functional-warming consume path. Callers must
-// only flip it between trace batches (after the emulator flushed).
-func (p *Pipeline) SetFuncWarm(on bool) { p.funcWarm = on }
+// Warmer returns the pipeline's functional-warming sink: installed with
+// emu.CPU.SetTraceSink in place of the pipeline, it keeps the caches and
+// predictor evolving (tag and history state only — no cycle accounting,
+// no Metrics movement), so a later measurement window does not see state
+// that went stale across a fast-forward gap.
+func (p *Pipeline) Warmer() emu.TraceSink { return (*warmer)(p) }
+
+// ConsumeTrace implements emu.TraceSink on the warming path.
+func (w *warmer) ConsumeTrace(batch []emu.DynInstr) {
+	p := (*Pipeline)(w)
+	for i := range batch {
+		p.warmRetire(&batch[i])
+	}
+}
 
 // warmRetire is the functional-warming counterpart of retire: it feeds
 // the instruction's cache and predictor footprint through the models —
@@ -499,24 +476,15 @@ func (p *Pipeline) retire(di *emu.DynInstr) {
 	p.m.L1IAccesses++
 	if iblock := uint64(di.PC) >> p.iblockShift; iblock != p.lastIBlock {
 		p.lastIBlock = iblock
-		if p.latTiered {
-			if lat := p.hier.InstrLatency(uint64(di.PC) * 8); lat > p.l1iHitLat {
-				p.m.L1IMisses++
-				if lat > p.l2HitLat {
-					p.m.L2Misses++
-				}
-				fc += uint64(lat)
-				p.fetchedInCycle = 0
+		// Validate makes latencies strictly increase outward, so the
+		// returned latency names the level that served the fetch.
+		if lat := p.hier.InstrLatency(uint64(di.PC) * 8); lat > p.l1iHitLat {
+			p.m.L1IMisses++
+			if lat > p.l2HitLat {
+				p.m.L2Misses++
 			}
-		} else {
-			l1iMissBefore := p.hier.L1I.Misses
-			l2MissBefore := p.hier.L2.Misses
-			if lat := p.hier.InstrLatency(uint64(di.PC) * 8); lat > p.l1iHitLat {
-				fc += uint64(lat)
-				p.fetchedInCycle = 0
-			}
-			p.m.L1IMisses += p.hier.L1I.Misses - l1iMissBefore
-			p.m.L2Misses += p.hier.L2.Misses - l2MissBefore
+			fc += uint64(lat)
+			p.fetchedInCycle = 0
 		}
 	} else {
 		p.hier.L1I.Hits++ // keep the cache's own counters consistent
@@ -538,21 +506,12 @@ func (p *Pipeline) retire(di *emu.DynInstr) {
 
 	if d.Flags&(plan.FLoad|plan.FStore) != 0 {
 		p.m.L1DAccesses++
-		var dlat int
-		if p.latTiered {
-			dlat = p.hier.DataLatency(di.MemAddr)
-			if dlat > p.l1dHitLat {
-				p.m.L1DMisses++
-				if dlat > p.l2HitLat {
-					p.m.L2Misses++
-				}
+		dlat := p.hier.DataLatency(di.MemAddr)
+		if dlat > p.l1dHitLat {
+			p.m.L1DMisses++
+			if dlat > p.l2HitLat {
+				p.m.L2Misses++
 			}
-		} else {
-			l1dMissBefore := p.hier.L1D.Misses
-			l2MissBefore := p.hier.L2.Misses
-			dlat = p.hier.DataLatency(di.MemAddr)
-			p.m.L1DMisses += p.hier.L1D.Misses - l1dMissBefore
-			p.m.L2Misses += p.hier.L2.Misses - l2MissBefore
 		}
 		if d.Flags&plan.FLoad != 0 {
 			lat = uint64(dlat)
@@ -563,9 +522,6 @@ func (p *Pipeline) retire(di *emu.DynInstr) {
 
 	for i := 0; i < int(d.NDst); i++ {
 		p.regReady[d.Dst[i]] = execDone
-	}
-	if p.DebugInstr != nil {
-		p.DebugInstr(di.PC, d.Op, fc, issue, execDone)
 	}
 
 	// ---- branches ----
@@ -653,9 +609,6 @@ func (p *Pipeline) handleBranch(di *emu.DynInstr, d *plan.Decoded, fc, execDone 
 		redirect := resolved + p.misPen
 		if redirect > p.fetchBlockedUntil {
 			p.fetchBlockedUntil = redirect
-			if p.DebugBlock != nil {
-				p.DebugBlock(di.PC, d.Op, execDone, redirect)
-			}
 		}
 	}
 }
@@ -685,6 +638,3 @@ func (p *Pipeline) WindowBase() Metrics { return p.winBase }
 
 // SetWindowBase restores a delta baseline (checkpoint support).
 func (p *Pipeline) SetWindowBase(m Metrics) { p.winBase = m }
-
-// Caches exposes the cache hierarchy for inspection.
-func (p *Pipeline) Caches() *cache.Hierarchy { return p.hier }

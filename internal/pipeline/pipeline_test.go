@@ -29,7 +29,7 @@ func timeProgram(t *testing.T, cfg Config, pred branch.Predictor, build func(b *
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpu.SetListener(pipe.OnRetire)
+	cpu.SetTraceSink(pipe)
 	if err := cpu.Run(2_000_000); err != nil {
 		t.Fatal(err)
 	}
@@ -52,6 +52,17 @@ func TestConfigValidation(t *testing.T) {
 	bad.ROBSize = 2
 	if err := bad.Validate(); err == nil {
 		t.Error("ROB smaller than width accepted")
+	}
+	for name, mut := range map[string]func(*Config){
+		"L1I >= L2":    func(c *Config) { c.L1I.HitLatency = c.L2.HitLatency },
+		"L1D >= L2":    func(c *Config) { c.L1D.HitLatency = c.L2.HitLatency + 1 },
+		"L2 >= memory": func(c *Config) { c.L2.HitLatency = c.MemLatency },
+	} {
+		bad = FourWide()
+		mut(&bad)
+		if err := bad.Validate(); err == nil {
+			t.Errorf("non-increasing latencies accepted: %s", name)
+		}
 	}
 	bad = FourWide()
 	bad.BranchUnits = 0
@@ -242,8 +253,7 @@ func TestSteeredProbBranchNeverMispredicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		pipe.OnRetire(emu.DynInstr{PC: 0})
-		pipe.OnRetire(emu.DynInstr{PC: 1, Taken: i%2 == 0, Prob: emu.ProbSteered})
+		pipe.ConsumeTrace([]emu.DynInstr{{PC: 0}, {PC: 1, Taken: i%2 == 0, Prob: emu.ProbSteered}})
 	}
 	m := pipe.Metrics()
 	if m.Mispredicts != 0 || m.ProbSteered != 100 {

@@ -101,9 +101,9 @@ func (s *Session) Checkpoint() (*Checkpoint, error) {
 		// The sampler's schedule position is implied by the instruction
 		// count; what must survive is the window populations, the phase
 		// accounting, the open window's delta baseline, and the pipeline's
-		// warming flag. Trace-pause state is NOT serialized: the next
-		// advance's schedule reconcile re-pauses or resumes as the phase
-		// dictates before any instruction retires.
+		// warming flag. The installed trace sink is NOT serialized: the
+		// next advance's schedule reconcile installs the phase's sink
+		// before any instruction retires.
 		sp := s.sampler
 		sw.Floats(sp.cpis)
 		sw.Floats(sp.mpkis)

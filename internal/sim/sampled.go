@@ -22,10 +22,10 @@ func WithSampledTiming(cfg sample.Config) Option {
 }
 
 // sampler is the per-session schedule driver: it tracks which phase the
-// machine is in, switches the emulator's trace production and the
-// pipeline's warming flag at phase boundaries, closes measurement
-// windows into the IPC/MPKI populations, and accounts every retired
-// instruction to exactly one phase.
+// machine is in, installs the phase's trace sink and the pipeline's
+// warming flag at phase boundaries, closes measurement windows into the
+// IPC/MPKI populations, and accounts every retired instruction to
+// exactly one phase.
 type sampler struct {
 	cfg   sample.Config
 	cpis  []float64 // per-window CPI population (see sample.Estimate)
@@ -85,11 +85,15 @@ func (sp *sampler) snapshot() SampledTiming {
 
 // syncSample reconciles the machine with the schedule at absolute
 // retired-instruction position cur: it closes a window whose end has
-// been reached, then switches trace production and the warming flag to
-// match PhaseAt(cur). advance calls it at every chunk boundary (and
-// once more after the run ends, so a window closing exactly at the end
-// of the run is counted). The emulator stopped exactly on the boundary
-// and flushed its trace, so the timing model is caught up here.
+// been reached, then installs the trace sink and warming flag that match
+// PhaseAt(cur): the pipeline for warming and measuring, its functional
+// Warmer for a FuncWarm gap, and none for plain fast-forward, where the
+// emulator's fused loop runs its zero-overhead untraced path. advance
+// calls it at every chunk boundary (and once more after the run ends, so
+// a window closing exactly at the end of the run is counted). The
+// emulator stopped exactly on the boundary and flushed its trace, so the
+// timing model is caught up here — and SetTraceSink flushes before it
+// swaps in any case, so no batch ever straddles two phases' sinks.
 //
 // The window close must compare against the absolute winEnd rather
 // than watch for a phase change: with Period == Warmup+Window there is
@@ -107,29 +111,21 @@ func (s *Session) syncSample(cur uint64) {
 	switch sp.cfg.PhaseAt(cur) {
 	case sample.Measuring:
 		if !sp.open {
-			s.pipe.SetFuncWarm(false)
-			s.cpu.ResumeTrace()
+			s.cpu.SetTraceSink(s.pipe)
 			s.pipe.SetWarming(false)
 			s.pipe.BeginWindow()
 			sp.open = true
 			sp.winEnd = sp.cfg.WindowEnd(cur)
 		}
 	case sample.Warming:
-		s.pipe.SetFuncWarm(false)
-		s.cpu.ResumeTrace()
+		s.cpu.SetTraceSink(s.pipe)
 		s.pipe.SetWarming(true)
 	case sample.FastForward:
 		if sp.cfg.FuncWarm {
-			// A functionally-warmed gap: the trace keeps flowing, but the
-			// pipeline switches to the cheap cache+predictor path.
-			s.pipe.SetFuncWarm(true)
-			s.cpu.ResumeTrace()
-			return
+			s.cpu.SetTraceSink(s.pipe.Warmer())
+		} else {
+			s.cpu.SetTraceSink(nil)
 		}
-		// PauseTrace flushes any straggling batch and detaches the trace
-		// buffer, so the emulator's fused loop runs its zero-overhead
-		// untraced path until the next detailed phase resumes it.
-		s.cpu.PauseTrace()
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -23,10 +24,11 @@ var accuracySchedules = []sample.Config{
 // inside the sampled run's 95% confidence interval, and the MPKI
 // estimate must agree within its interval plus a small absolute slack
 // (near-zero-MPKI configs measure windows with zero misses, collapsing
-// the interval).
+// the interval). On every schedule, with and without functional warming,
+// only the detailed phases may reach the timing model's retire path.
 func TestSampledAccuracy(t *testing.T) {
 	if testing.Short() {
-		t.Skip("13 configs x (1 full + 2 sampled) runs")
+		t.Skip("13 configs x (1 full + 4 sampled) runs")
 	}
 	for name, cfg := range goldenConfigs() {
 		cfg.SkipTiming = false
@@ -64,7 +66,31 @@ func TestSampledAccuracy(t *testing.T) {
 			if sum := e.InstrsMeasured + e.InstrsWarmed + e.InstrsFastForwarded; sum != res.Emu.Instructions {
 				t.Errorf("%s S%d: phase accounting %d != %d retired", name, i, sum, res.Emu.Instructions)
 			}
+			checkDetailedRetire(t, fmt.Sprintf("%s S%d", name, i), res)
+
+			// Without functional warming the fast-forward gaps run
+			// untraced; the same invariant must hold.
+			cold := sc
+			cold.FuncWarm = false
+			c.Sample = &cold
+			if res, err = Run(c); err != nil {
+				t.Fatalf("%s S%d cold: sampled run: %v", name, i, err)
+			}
+			checkDetailedRetire(t, fmt.Sprintf("%s S%d cold", name, i), res)
 		}
+	}
+}
+
+// checkDetailedRetire asserts that the timing model retired exactly the
+// warming and measured instructions of a sampled run: a fast-forward gap
+// that leaked into the pipeline (a missed trace-sink swap) would
+// inflate Timing.Instructions past the detailed phases' total.
+func checkDetailedRetire(t *testing.T, label string, res *Result) {
+	t.Helper()
+	e := res.Sampled
+	if want := e.InstrsMeasured + e.InstrsWarmed; res.Timing.Instructions != want {
+		t.Errorf("%s: timing model retired %d instructions, detailed phases %d (measured %d + warmed %d)",
+			label, res.Timing.Instructions, want, e.InstrsMeasured, e.InstrsWarmed)
 	}
 }
 
@@ -140,7 +166,7 @@ func TestSampledDeterminism(t *testing.T) {
 }
 
 // TestSampledCheckpointResume: a sampled session checkpointed mid-run
-// (inside a fast-forward gap, where the sampler's trace-pause state
+// (inside a fast-forward gap, where the sampler's installed trace sink
 // must be re-derived) and resumed must finish with exactly the
 // uninterrupted run's estimate.
 func TestSampledCheckpointResume(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/pipeline"
 	"repro/internal/workloads"
 )
 
@@ -16,6 +17,23 @@ func TestRunErrors(t *testing.T) {
 	}
 	if _, err := Run(Config{Workload: "Bandit", Variant: workloads.VariantCFD}); err == nil {
 		t.Error("inapplicable variant accepted (Table I says CFD does not apply to Bandit)")
+	}
+}
+
+// TestNewRejectsNonTieredCore: a core whose cache latencies do not
+// increase strictly from L1 to L2 to memory is a construction error
+// from New, never a panic or a silently miscounted run.
+func TestNewRejectsNonTieredCore(t *testing.T) {
+	for name, mut := range map[string]func(*pipeline.Config){
+		"L1I >= L2":    func(c *pipeline.Config) { c.L1I.HitLatency = c.L2.HitLatency },
+		"L1D >= L2":    func(c *pipeline.Config) { c.L1D.HitLatency = c.L2.HitLatency },
+		"L2 >= memory": func(c *pipeline.Config) { c.MemLatency = c.L2.HitLatency },
+	} {
+		cfg := pipeline.FourWide()
+		mut(&cfg)
+		if _, err := New("PI", WithCore(cfg)); err == nil {
+			t.Errorf("%s: New accepted the core", name)
+		}
 	}
 }
 
