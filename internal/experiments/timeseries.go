@@ -1,13 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/sweep"
 )
 
 // SeriesPoint is one interval sample of a live simulation: the paper's
@@ -113,8 +113,8 @@ type SeriesCIPoint struct {
 }
 
 // SeriesCI is the multi-seed warm-up study: per-seed series run as
-// parallel shards (one session per seed, spread over a bounded pool the
-// way the sweep engine shards aggregate points) and merged index-wise
+// parallel shards (one session per seed, spread over sweep.Each, the
+// pool the sweep engine shards aggregate points on) and merged index-wise
 // into mean/95%-CI bands. It answers whether the warm-up dynamic —
 // steering ramping up, probabilistic MPKI collapsing — is a property of
 // the machine or an artifact of one seed.
@@ -138,13 +138,6 @@ func TimeSeriesCI(workload string, pbs bool, interval uint64, opt Options) (*Ser
 	if len(opt.Seeds) == 0 {
 		return nil, fmt.Errorf("experiments: TimeSeriesCI needs at least one seed")
 	}
-	parallel := opt.Parallel
-	if parallel < 1 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-	if parallel > len(opt.Seeds) {
-		parallel = len(opt.Seeds)
-	}
 	out := &SeriesCI{
 		Workload: workload,
 		PBS:      pbs,
@@ -152,45 +145,13 @@ func TimeSeriesCI(workload string, pbs bool, interval uint64, opt Options) (*Ser
 		Seeds:    opt.Seeds,
 		PerSeed:  make([]*Series, len(opt.Seeds)),
 	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	aborted := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return firstErr != nil
-	}
-	jobs := make(chan int)
-	for range parallel {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				if aborted() {
-					continue // drain without simulating, like the sweep engine
-				}
-				s, err := timeSeriesSeed(workload, pbs, interval, opt.Scale, opt.Seeds[i])
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					continue
-				}
-				out.PerSeed[i] = s
-			}
-		}()
-	}
-	for i := range opt.Seeds {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	err := sweep.Each(context.TODO(), len(opt.Seeds), opt.Parallel, func(_ context.Context, i int) error {
+		s, err := timeSeriesSeed(workload, pbs, interval, opt.Scale, opt.Seeds[i])
+		out.PerSeed[i] = s
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	n := len(out.PerSeed[0].Points)

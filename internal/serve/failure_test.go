@@ -3,11 +3,13 @@ package serve
 import (
 	"bytes"
 	"context"
+	"errors"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/sim"
 	"repro/internal/sweep"
 )
 
@@ -89,11 +91,14 @@ func TestStalledWorkerLateCompletion(t *testing.T) {
 
 	// Compute the point's result for real (the stall is in reporting,
 	// not in the simulation).
-	w := &Worker{Server: base, Programs: sweep.NewProgramCache()}
-	res, err := w.runPoint(context.Background(), *lr.Point)
+	s, err := sweep.NewProgramCache().Start(*lr.Point, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := sweep.Finish(context.Background(), s, sweep.RunChunk); err != nil {
+		t.Fatal(err)
+	}
+	res := s.Result()
 
 	// Stall past the TTL, then renew: the server must have reclaimed the
 	// lease.
@@ -266,5 +271,103 @@ func TestOversizedBodyRejected(t *testing.T) {
 	}
 	if jr.ID != "j1" {
 		t.Errorf("first accepted job is %q, want j1: the oversized request must not create a job", jr.ID)
+	}
+}
+
+// TestOverCapGridRejected: grid cardinality is bounded. A ~64 KB job
+// request whose grid multiplies out past sweep.MaxGridRuns (2
+// predictors x 2 PBS x 2 widths x 2 filter settings x 32,768 seeds) is
+// refused with 400 before any point is allocated, creates no job, and
+// leaves the server serving normal requests.
+func TestOverCapGridRejected(t *testing.T) {
+	srv := NewServer(NewMemStore())
+	_, base := startServer(t, srv)
+	seeds := make([]uint64, 1<<15)
+	for i := range seeds {
+		seeds[i] = uint64(i + 1)
+	}
+	g := sweep.Grid{
+		Workloads:  []string{"PI"},
+		Predictors: []sim.PredictorKind{sim.PredTournament, sim.PredTAGESCL},
+		PBS:        []bool{false, true},
+		Widths:     []int{4, 8},
+		FilterProb: []bool{false, true},
+		Seeds:      seeds,
+	}
+	c := &Client{Server: base}
+	_, err := c.Submit(context.Background(), g)
+	var se *statusError
+	if !errors.As(err, &se) || !strings.HasPrefix(se.status, "400") {
+		t.Fatalf("over-cap job request: %v, want a 400 response", err)
+	}
+
+	jr, err := c.Submit(context.Background(), sweep.Grid{Workloads: []string{"PI"}, MaxInstrs: 10_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jr.ID != "j1" {
+		t.Errorf("first accepted job is %q, want j1: the over-cap request must not create a job", jr.ID)
+	}
+}
+
+// TestProgressCheckpointFallback pins startSession's promise: a lease
+// whose progress checkpoint fails to load (garbage bytes) or to resume
+// (a valid checkpoint of a different workload) only loses the
+// optimization. The point runs from its warm prefix instead, and the
+// record it completes equals the batch engine's.
+func TestProgressCheckpointFallback(t *testing.T) {
+	g := sweep.Grid{Workloads: []string{"PI"}, Seeds: []uint64{5}, MaxInstrs: 40_000, WarmPrefix: 10_000}
+	wantJSON, _ := batchOutputs(t, []sweep.Grid{g})
+
+	other, err := sim.New("Bandit", sim.WithSeed(5), sim.WithMaxInstrs(20_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := other.Run(); err != nil {
+		t.Fatal(err)
+	}
+	otherCk, err := other.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name     string
+		progress []byte
+	}{
+		{"garbage", []byte("not a checkpoint")},
+		{"other-workload", otherCk.Bytes()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := NewServer(NewMemStore())
+			srv.RetryMS = 5
+			_, base := startServer(t, srv)
+			c := &Client{Server: base}
+			if _, err := c.Submit(context.Background(), g); err != nil {
+				t.Fatal(err)
+			}
+			var lr LeaseResponse
+			fpost(t, base, "/v1/lease", LeaseRequest{Worker: "migrant"}, &lr)
+			if lr.Status != StatusPoint {
+				t.Fatalf("lease status %q, want %q", lr.Status, StatusPoint)
+			}
+			lr.Checkpoint = tc.progress
+			w := &Worker{Server: base, Name: "migrant", Programs: sweep.NewProgramCache()}
+			w.execute(context.Background(), lr)
+
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			recs, err := c.Collect(ctx, g, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var j bytes.Buffer
+			if err := sweep.WriteRecordsJSON(&j, recs); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(j.Bytes(), wantJSON[0]) {
+				t.Errorf("record after a bad progress checkpoint differs from batch output\n%s", firstDiff(j.Bytes(), wantJSON[0]))
+			}
+		})
 	}
 }

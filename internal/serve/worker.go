@@ -16,12 +16,6 @@ import (
 	"repro/internal/sweep"
 )
 
-// runChunk is the default RunFor granularity of a worker's simulations:
-// coarse enough that chunking cost vanishes (sessions retire the same
-// stream at any chunk size, see sim.Session.RunFor), fine enough that a
-// lost lease or worker shutdown aborts a point promptly.
-const runChunk = 1 << 18
-
 // errReleased marks a run the worker deliberately handed back
 // (checkpoint released to the server) during drain.
 var errReleased = errors.New("serve: lease released")
@@ -31,11 +25,13 @@ var errReleased = errors.New("serve: lease released")
 var errLeaseLost = errors.New("serve: lease lost")
 
 // Worker pulls leased points from a Server and executes them through
-// the same session path as the in-process engine: cached shared
-// programs, warm-prefix forking from the group checkpoint (fetched
-// from — or built once for — the server), and chunked runs that abort
-// when the lease is lost. A Worker runs one point at a time; start
-// several (sharing one ProgramCache) to use more cores.
+// the in-process engine's own point code: sweep.ProgramCache.Start
+// builds the session from a cached shared program — forked from the
+// group's warm checkpoint (fetched from, or built once with
+// ProgramCache.BuildWarm for, the server) when the point has a warm
+// prefix — and the run proceeds in chunks that abort when the lease is
+// lost. A Worker runs one point at a time; start several (sharing one
+// ProgramCache) to use more cores.
 //
 // Fault posture: transient request failures retry with jittered
 // exponential backoff bounded by RetryBudget; renewals piggyback
@@ -57,8 +53,8 @@ type Worker struct {
 	// the server's suggestion (or 100ms).
 	Poll time.Duration
 	// Chunk overrides the RunFor granularity (and with it the progress
-	// check cadence); the zero value means runChunk. Tests shrink it so
-	// short points still cross chunk boundaries.
+	// check cadence); the zero value means sweep.RunChunk, the engine's
+	// own. Tests shrink it so short points still cross chunk boundaries.
 	Chunk uint64
 	// ProgressEvery is the minimum interval between progress checkpoints
 	// piggybacked on renewals; the zero value means a third of the lease
@@ -113,7 +109,7 @@ func (w *Worker) chunk() uint64 {
 	if w.Chunk > 0 {
 		return w.Chunk
 	}
-	return runChunk
+	return sweep.RunChunk
 }
 
 func (w *Worker) retryBudget() time.Duration {
@@ -232,7 +228,8 @@ func (w *Worker) renewLoop(pctx context.Context, cancel context.CancelFunc, stop
 // checkpoint when the lease ships one, else warm-forked or cold. Along
 // the way it piggybacks fresh progress checkpoints on renewals (so the
 // server can migrate the point if this worker dies) and honors drain by
-// checkpointing and releasing the lease mid-point.
+// checkpointing and releasing the lease mid-point. Those happen between
+// chunks, which is why it drives its own loop rather than sweep.Finish.
 func (w *Worker) runLeased(ctx context.Context, p sweep.Point, lr LeaseResponse, ttl time.Duration) (*sim.Result, error) {
 	s, err := w.startSession(ctx, p, lr.Checkpoint)
 	if err != nil {
@@ -292,58 +289,26 @@ func (w *Worker) release(ctx context.Context, lease uint64, s *sim.Session) {
 // that fails to load or resume is only a lost optimization — the point
 // falls back to the warm/cold path and produces the identical result.
 func (w *Worker) startSession(ctx context.Context, p sweep.Point, progress []byte) (*sim.Session, error) {
-	opts, err := p.Options()
-	if err != nil {
-		return nil, err
-	}
-	prog, err := w.Programs.Get(p.Workload, p.Scale, p.Variant)
-	if err != nil {
-		return nil, err
-	}
-	opts = append(opts, sim.WithProgram(prog))
-
 	if len(progress) > 0 {
 		if ck, err := sim.LoadCheckpoint(progress); err == nil {
-			if s, err := sim.Resume(ck, opts...); err == nil {
+			if s, err := w.Programs.Start(p, ck); err == nil {
 				return s, nil
 			}
 		}
 	}
+	var ck *sim.Checkpoint
 	if wp, ok := p.WarmPoint(); ok {
 		data, cold, err := w.warmBytes(ctx, wp)
 		if err != nil {
 			return nil, fmt.Errorf("warm prefix %s: %w", wp, err)
 		}
 		if !cold {
-			ck, err := sim.LoadCheckpoint(data)
-			if err != nil {
+			if ck, err = sim.LoadCheckpoint(data); err != nil {
 				return nil, fmt.Errorf("warm prefix %s: %w", wp, err)
 			}
-			return sim.Resume(ck, opts...)
 		}
 	}
-	return sim.New(p.Workload, opts...)
-}
-
-// runPoint executes one single-seed point exactly as the in-process
-// engine's runPoint does: shared cached program, warm-prefix fork when
-// the point calls for one, then a (chunked, abortable) run to
-// completion. Determinism of sessions makes the execution site
-// irrelevant: this result is byte-for-byte the engine's.
-func (w *Worker) runPoint(ctx context.Context, p sweep.Point) (*sim.Result, error) {
-	s, err := w.startSession(ctx, p, nil)
-	if err != nil {
-		return nil, err
-	}
-	for !s.Done() {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if _, err := s.RunFor(w.chunk()); err != nil {
-			return nil, err
-		}
-	}
-	return s.Result(), nil
+	return w.Programs.Start(p, ck)
 }
 
 // warmBytes resolves the group's warm checkpoint through the server's
@@ -365,12 +330,16 @@ func (w *Worker) warmBytes(ctx context.Context, wp sweep.Point) (data []byte, co
 		case StatusCold:
 			return nil, true, nil
 		case StatusBuild:
-			data, halted, err := w.buildWarm(ctx, wp)
+			ck, err := w.Programs.BuildWarm(ctx, wp, w.chunk())
 			if err != nil {
 				// Report the failure so the slot clears for the next
 				// requester, then surface it to this point's job.
 				w.post(ctx, "/v1/warm/complete", WarmCompleteRequest{Point: wp, Token: wr.Token, Error: err.Error()}, &CompleteResponse{})
 				return nil, false, err
+			}
+			halted := ck == nil
+			if !halted {
+				data = ck.Bytes()
 			}
 			if err := w.postRetry(ctx, "/v1/warm/complete", WarmCompleteRequest{Point: wp, Token: wr.Token, Data: data, Halted: halted}, &CompleteResponse{}); err != nil {
 				return nil, false, err
@@ -384,41 +353,6 @@ func (w *Worker) warmBytes(ctx context.Context, wp sweep.Point) (data []byte, co
 			return nil, false, fmt.Errorf("serve: unexpected warm status %q", wr.Status)
 		}
 	}
-}
-
-// buildWarm runs the functional prefix locally, mirroring the engine's
-// runWarmPrefix: chunked so an abort lands promptly, halted=true when
-// the program ends inside the prefix (no suffix to share).
-func (w *Worker) buildWarm(ctx context.Context, wp sweep.Point) (data []byte, halted bool, err error) {
-	opts, err := wp.Options()
-	if err != nil {
-		return nil, false, err
-	}
-	prog, err := w.Programs.Get(wp.Workload, wp.Scale, wp.Variant)
-	if err != nil {
-		return nil, false, err
-	}
-	opts = append(opts, sim.WithProgram(prog))
-	s, err := sim.New(wp.Workload, opts...)
-	if err != nil {
-		return nil, false, err
-	}
-	for !s.Done() {
-		if err := ctx.Err(); err != nil {
-			return nil, false, err
-		}
-		if _, err := s.RunFor(w.chunk()); err != nil {
-			return nil, false, err
-		}
-	}
-	if s.Halted() {
-		return nil, true, nil
-	}
-	ck, err := s.Checkpoint()
-	if err != nil {
-		return nil, false, err
-	}
-	return ck.Bytes(), false, nil
 }
 
 // idleDelay computes the jittered idle re-poll delay: the larger of the

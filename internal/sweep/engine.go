@@ -185,16 +185,15 @@ func (e *Engine) Run(ctx context.Context, g Grid) (Results, error) {
 // Key.Seeds) fans out into one shard job per seed, so a lone multi-seed
 // point saturates the pool; its shards are ordinary single-seed points
 // that hit the shared result memo, and their completed results merge
-// into an Aggregate in seed order. The first error aborts the sweep: no
-// further jobs are dispatched, in-flight warm-prefix runs are cancelled,
-// and the error is returned once in-flight jobs drain — together with
-// the results of the points that did complete (in point order, fully
-// merged aggregates only), so an interrupted sweep can still flush what
-// it finished. Points with a
-// WarmPrefix fork from a shared functional checkpoint of their group's
-// prefix, run once per group (see Grid.WarmPrefix). Results are
-// positionally deterministic — the same points
-// produce the same results at any parallelism.
+// into an Aggregate in seed order. Jobs run on Each's pool, so the
+// first error aborts the sweep: no further jobs are dispatched,
+// in-flight runs are cancelled, and the error is returned once they
+// drain — together with the results of the points that did complete (in
+// point order, fully merged aggregates only), so an interrupted sweep
+// can still flush what it finished. Points with a WarmPrefix fork from a
+// shared functional checkpoint of their group's prefix, run once per
+// group (see Grid.WarmPrefix). Results are positionally deterministic —
+// the same points produce the same results at any parallelism.
 func (e *Engine) RunPoints(ctx context.Context, pts []Point, parallel int) (Results, error) {
 	if len(pts) == 0 {
 		return nil, ctx.Err()
@@ -238,72 +237,29 @@ func (e *Engine) RunPoints(ctx context.Context, pts []Point, parallel int) (Resu
 		}
 	}
 
-	if parallel < 1 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-	if parallel > len(jobList) {
-		parallel = len(jobList)
-	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var (
-		mu       sync.Mutex
-		firstErr error
-		done     atomic.Int64
-		wg       sync.WaitGroup
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
+	var done atomic.Int64
+	err := Each(ctx, len(jobList), parallel, func(ctx context.Context, k int) error {
+		jb := jobList[k]
+		p := norm[jb.point]
+		if jb.shard >= 0 {
+			p = p.Shard(seedsOf[jb.point][jb.shard])
 		}
-		mu.Unlock()
-		cancel()
-	}
-
-	jobs := make(chan job)
-	for range parallel {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for jb := range jobs {
-				if ctx.Err() != nil {
-					continue // drain without running after an abort
-				}
-				p := norm[jb.point]
-				if jb.shard >= 0 {
-					p = p.Shard(seedsOf[jb.point][jb.shard])
-				}
-				res, err := e.runPoint(ctx, p)
-				if err != nil {
-					// No "sweep:" prefix: the wrapped error carries its
-					// package prefix already.
-					fail(fmt.Errorf("%s: %w", p, err))
-					continue
-				}
-				if jb.shard >= 0 {
-					shardSims[jb.point][jb.shard] = res
-				} else {
-					sims[jb.point] = res
-				}
-				if e.OnProgress != nil {
-					e.OnProgress(int(done.Add(1)), len(jobList))
-				}
-			}
-		}()
-	}
-dispatch:
-	for _, jb := range jobList {
-		select {
-		case jobs <- jb:
-		case <-ctx.Done():
-			break dispatch
+		res, err := e.runPoint(ctx, p)
+		if err != nil {
+			// No "sweep:" prefix: the wrapped error carries its package
+			// prefix already.
+			return fmt.Errorf("%s: %w", p, err)
 		}
-	}
-	close(jobs)
-	wg.Wait()
+		if jb.shard >= 0 {
+			shardSims[jb.point][jb.shard] = res
+		} else {
+			sims[jb.point] = res
+		}
+		if e.OnProgress != nil {
+			e.OnProgress(int(done.Add(1)), len(jobList))
+		}
+		return nil
+	})
 
 	// Merge completed shards, in seed order; the merge is a pure function
 	// of the per-seed results, so re-merging memoized shards is
@@ -329,10 +285,7 @@ dispatch:
 		}
 		aggs[i] = agg
 	}
-	if err := firstErr; err != nil || ctx.Err() != nil {
-		if err == nil {
-			err = ctx.Err()
-		}
+	if err != nil {
 		// Return the completed points alongside the error, in point order,
 		// so an interrupted batch (SIGINT in cmd/pbsweep) can still flush
 		// the records it paid for. Unfinished points are simply absent.
@@ -353,11 +306,9 @@ dispatch:
 
 // runPoint executes one point through a sim.Session, consulting the
 // caches. Cached programs are shared read-only across the concurrently
-// running sessions of the worker pool. Sessions run in chunks with
-// a cancellation check between them, so an aborting sweep (first error,
-// or SIGINT in cmd/pbsweep) stops mid-point promptly; chunking is
-// byte-identical to a one-shot run (see sim.Session.RunFor), so the
-// abort path costs completed points nothing.
+// running sessions of the worker pool. The session runs to completion
+// through Finish, so an aborting sweep (first error, or SIGINT in
+// cmd/pbsweep) stops mid-point promptly at no cost to completed points.
 func (e *Engine) runPoint(ctx context.Context, p Point) (*sim.Result, error) {
 	p = p.normalize()
 	memoize := e.Results != nil && !p.CaptureProb
@@ -366,49 +317,19 @@ func (e *Engine) runPoint(ctx context.Context, p Point) (*sim.Result, error) {
 			return res, nil
 		}
 	}
-	opts, err := p.Options()
+	var ck *sim.Checkpoint
+	if wp, ok := p.WarmPoint(); ok {
+		var err error
+		if ck, err = e.warmCheckpoint(ctx, wp); err != nil {
+			return nil, fmt.Errorf("warm prefix %s: %w", wp, err)
+		}
+	}
+	s, err := e.Programs.Start(p, ck)
 	if err != nil {
 		return nil, err
 	}
-	if e.Programs != nil {
-		prog, err := e.Programs.Get(p.Workload, p.Scale, p.Variant)
-		if err != nil {
-			return nil, err
-		}
-		opts = append(opts, sim.WithProgram(prog))
-	}
-	var s *sim.Session
-	if wp, ok := p.WarmPoint(); ok {
-		ck, err := e.warmCheckpoint(ctx, wp)
-		if err != nil {
-			return nil, fmt.Errorf("warm prefix %s: %w", wp, err)
-		}
-		if ck != nil {
-			// Fork the point from the group's shared functional prefix.
-			// The point's own options land on top of the checkpoint's
-			// embedded config, turning the timing model (back) on where
-			// the point wants it — it starts cold at the boundary — and
-			// restoring the point's predictor, width, filter setting and
-			// instruction budget.
-			s, err = sim.Resume(ck, opts...)
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	if s == nil {
-		s, err = sim.New(p.Workload, opts...)
-		if err != nil {
-			return nil, err
-		}
-	}
-	for !s.Done() {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if _, err := s.RunFor(warmChunk); err != nil {
-			return nil, err
-		}
+	if err := Finish(ctx, s, RunChunk); err != nil {
+		return nil, err
 	}
 	res := s.Result()
 	if memoize {
@@ -466,7 +387,7 @@ func (e *Engine) warmCheckpoint(ctx context.Context, wp Point) (*sim.Checkpoint,
 	}
 	e.warmMu.Unlock()
 	ent.once.Do(func() {
-		ent.ck, ent.err = e.runWarmPrefix(ctx, wp)
+		ent.ck, ent.err = e.Programs.BuildWarm(ctx, wp, RunChunk)
 	})
 	if ent.err != nil && (errors.Is(ent.err, context.Canceled) || errors.Is(ent.err, context.DeadlineExceeded)) {
 		e.warmMu.Lock()
@@ -478,43 +399,80 @@ func (e *Engine) warmCheckpoint(ctx context.Context, wp Point) (*sim.Checkpoint,
 	return ent.ck, ent.err
 }
 
-// warmChunk is the RunFor granularity of a warm-up run: coarse enough
-// that the chunking cost vanishes, fine enough that a first-error abort
-// cancels an in-flight warm-up promptly.
-const warmChunk = 1 << 18
+// RunChunk is the RunFor granularity of every chunked run: coarse
+// enough that the chunking cost vanishes (a session retires the same
+// stream at any chunk size, see sim.Session.RunFor), fine enough that a
+// cancelled sweep or a lost lease aborts a point promptly.
+const RunChunk = 1 << 18
 
-// runWarmPrefix executes the canonical warm point's functional prefix
-// and checkpoints it, checking for sweep cancellation between chunks.
-// A nil, nil return means the program halted before the prefix ended:
-// there is no suffix to share, and the caller runs its points cold.
-func (e *Engine) runWarmPrefix(ctx context.Context, wp Point) (*sim.Checkpoint, error) {
-	opts, err := wp.Options()
-	if err != nil {
-		return nil, err
-	}
-	if e.Programs != nil {
-		prog, err := e.Programs.Get(wp.Workload, wp.Scale, wp.Variant)
-		if err != nil {
-			return nil, err
-		}
-		opts = append(opts, sim.WithProgram(prog))
-	}
-	s, err := sim.New(wp.Workload, opts...)
-	if err != nil {
-		return nil, err
-	}
+// Finish runs the session to completion in RunFor chunks of n (> 0)
+// instructions, returning ctx's error if it is cancelled between chunks.
+// Chunking is byte-identical to a one-shot run, so a point finished here
+// produces the same result wherever it runs.
+func Finish(ctx context.Context, s *sim.Session, n uint64) error {
 	for !s.Done() {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
-		if _, err := s.RunFor(warmChunk); err != nil {
-			return nil, err
+		if _, err := s.RunFor(n); err != nil {
+			return err
 		}
 	}
-	if s.Halted() {
-		return nil, nil
+	return nil
+}
+
+// Each calls fn(ctx, i) for every i in [0, n) on a bounded pool of at
+// most parallel goroutines (0 means GOMAXPROCS). The first error
+// cancels the ctx the calls in flight see, stops dispatch, and is
+// returned once they drain; no call starts after it. Without an error,
+// a cancelled parent returns its ctx.Err().
+func Each(ctx context.Context, n, parallel int, fn func(ctx context.Context, i int) error) error {
+	if parallel < 1 {
+		parallel = runtime.GOMAXPROCS(0)
 	}
-	return s.Checkpoint()
+	parallel = min(parallel, n)
+
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		mu       sync.Mutex
+		firstErr error
+		wg       sync.WaitGroup
+	)
+	jobs := make(chan int)
+	for range parallel {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range jobs {
+				if ctx.Err() != nil {
+					continue // drain without running after an abort
+				}
+				if err := fn(ctx, i); err != nil {
+					mu.Lock()
+					if firstErr == nil {
+						firstErr = err
+					}
+					mu.Unlock()
+					cancel()
+				}
+			}
+		}()
+	}
+dispatch:
+	for i := range n {
+		select {
+		case jobs <- i:
+		case <-ctx.Done():
+			break dispatch
+		}
+	}
+	close(jobs)
+	wg.Wait()
+	if firstErr != nil {
+		return firstErr
+	}
+	return ctx.Err()
 }
 
 // progKey identifies one assembled program.
@@ -562,6 +520,49 @@ func (c *ProgramCache) Get(workload string, scale int, variant workloads.Variant
 		e.prog, e.err = sim.BuildProgram(workload, workloads.Params{Scale: scale}, variant)
 	})
 	return e.prog, e.err
+}
+
+// Start builds the session for a point: resumed from ck when it is
+// non-nil (a warm-prefix fork or a migrated progress checkpoint), else
+// fresh. On a resume the point's own options land on top of the
+// checkpoint's embedded config, turning the timing model (back) on where
+// the point wants it — it starts cold at the boundary — and restoring
+// the point's predictor, width, filter setting and instruction budget.
+// A nil cache builds the point's program afresh.
+func (c *ProgramCache) Start(p Point, ck *sim.Checkpoint) (*sim.Session, error) {
+	opts, err := p.Options()
+	if err != nil {
+		return nil, err
+	}
+	if c != nil {
+		prog, err := c.Get(p.Workload, p.Scale, p.Variant)
+		if err != nil {
+			return nil, err
+		}
+		opts = append(opts, sim.WithProgram(prog))
+	}
+	if ck != nil {
+		return sim.Resume(ck, opts...)
+	}
+	return sim.New(p.Workload, opts...)
+}
+
+// BuildWarm runs the canonical warm point's functional prefix (see
+// Point.WarmPoint) through Finish in chunks of n instructions and
+// checkpoints it. A nil, nil return means the program halted inside the
+// prefix: there is no suffix to share, and the group's points run cold.
+func (c *ProgramCache) BuildWarm(ctx context.Context, wp Point, n uint64) (*sim.Checkpoint, error) {
+	s, err := c.Start(wp, nil)
+	if err != nil {
+		return nil, err
+	}
+	if err := Finish(ctx, s, n); err != nil {
+		return nil, err
+	}
+	if s.Halted() {
+		return nil, nil
+	}
+	return s.Checkpoint()
 }
 
 // ResultCache memoizes completed simulations by normalized point, and

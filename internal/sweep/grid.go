@@ -324,30 +324,27 @@ func (p Point) Options() ([]sim.Option, error) {
 	return opts, nil
 }
 
-// Points expands and validates the grid. The expansion order is
-// deterministic: workloads outermost, then variants, predictors, widths,
-// PBS, filter settings, and seeds innermost.
+// MaxGridRuns caps the simulations one grid may declare: the product of
+// its axis lengths, seeds included even under ShardSeeds. Grids arrive
+// from outside (pbsweep -spec, POST /v1/jobs, journal replay), and a
+// spec of a few KB can otherwise multiply out to millions of points
+// before anything is checked. The largest in-repo grids (the
+// benchmark's 128-point sweep, pbsweep's 32-point default and the
+// paper's figures) sit far below it.
+const MaxGridRuns = 1 << 16
+
+// Points expands and validates the grid, rejecting one that declares
+// more than MaxGridRuns runs before allocating its points. The expansion
+// order is deterministic: workloads outermost, then variants,
+// predictors, widths, PBS, filter settings, and seeds innermost.
 func (g Grid) Points() ([]Point, error) {
 	names := g.Workloads
 	if len(names) == 0 {
 		names = workloads.Names()
 	}
-	byName := make(map[string]*workloads.Workload, len(names))
-	for _, name := range names {
-		w, err := workloads.ByName(name)
-		if err != nil {
-			return nil, fmt.Errorf("sweep: %w", err)
-		}
-		byName[name] = w
-	}
 	preds := g.Predictors
 	if len(preds) == 0 {
 		preds = []sim.PredictorKind{sim.PredTAGESCL}
-	}
-	for _, pred := range preds {
-		if _, err := sim.NewPredictor(pred); err != nil {
-			return nil, fmt.Errorf("sweep: %w", err)
-		}
 	}
 	pbs := g.PBS
 	if len(pbs) == 0 {
@@ -356,11 +353,6 @@ func (g Grid) Points() ([]Point, error) {
 	widths := g.Widths
 	if len(widths) == 0 {
 		widths = []int{4}
-	}
-	for _, w := range widths {
-		if w != 4 && w != 8 {
-			return nil, fmt.Errorf("sweep: unsupported core width %d (want 4 or 8)", w)
-		}
 	}
 	seeds := g.Seeds
 	if len(seeds) == 0 {
@@ -373,6 +365,34 @@ func (g Grid) Points() ([]Point, error) {
 	filter := g.FilterProb
 	if len(filter) == 0 {
 		filter = []bool{false}
+	}
+	// Bound the expansion before allocating any of it: every factor is
+	// at least 1, so dividing the cap down never overflows.
+	runs := 1
+	for _, n := range []int{len(names), len(variants), len(preds), len(widths), len(pbs), len(filter), len(seeds)} {
+		if n > MaxGridRuns/runs {
+			return nil, fmt.Errorf("sweep: grid expands to more than %d runs", MaxGridRuns)
+		}
+		runs *= n
+	}
+
+	byName := make(map[string]*workloads.Workload, len(names))
+	for _, name := range names {
+		w, err := workloads.ByName(name)
+		if err != nil {
+			return nil, fmt.Errorf("sweep: %w", err)
+		}
+		byName[name] = w
+	}
+	for _, pred := range preds {
+		if _, err := sim.NewPredictor(pred); err != nil {
+			return nil, fmt.Errorf("sweep: %w", err)
+		}
+	}
+	for _, w := range widths {
+		if w != 4 && w != 8 {
+			return nil, fmt.Errorf("sweep: unsupported core width %d (want 4 or 8)", w)
+		}
 	}
 	scale := g.Scale
 	if scale <= 0 {
